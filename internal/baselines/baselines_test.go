@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"smiless/internal/apps"
@@ -344,5 +345,24 @@ func TestHybridHistogramRuns(t *testing.T) {
 	}
 	if st.TotalCost <= 0 {
 		t.Error("no cost accrued")
+	}
+}
+
+// TestIceBreakerReuseMatchesFresh: IceBreaker keeps a float copy of the
+// count history across windows; a driver reused on a second simulator must
+// start that copy over and decide exactly as a fresh driver does.
+func TestIceBreakerReuseMatchesFresh(t *testing.T) {
+	app := apps.ImageQuery()
+	cat := hardware.DefaultCatalog()
+	run := func(d simulator.Driver, seed int64, horizon float64) *simulator.RunStats {
+		sim := simulator.MustNew(simulator.Config{App: app, SLA: 2, Seed: 3}, d)
+		return sim.MustRun(evalTrace(seed, horizon))
+	}
+	reused := NewIceBreaker(cat, app.TrueProfiles(perfmodel.DefaultUncertainty), 2)
+	run(reused, 1, 900)
+	got := run(reused, 2, 600)
+	want := run(NewIceBreaker(cat, app.TrueProfiles(perfmodel.DefaultUncertainty), 2), 2, 600)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reused IceBreaker diverged from a fresh one:\n%s\nvs\n%s", got.Summary(), want.Summary())
 	}
 }

@@ -23,6 +23,9 @@ type IceBreaker struct {
 
 	fip     *predictor.FIP
 	configs map[dag.NodeID]hardware.Config
+	// hist mirrors the substrate's append-only per-window count history as
+	// floats; each window appends only the counts completed since the last.
+	hist []float64
 	// quietWindows counts consecutive windows without arrivals, governing
 	// the keep-alive horizon.
 	quietWindows int
@@ -70,6 +73,7 @@ func (b *IceBreaker) chooseConfig(id dag.NodeID) hardware.Config {
 
 // Setup implements simulator.Driver.
 func (b *IceBreaker) Setup(sim simulator.ControlPlane) {
+	b.hist = nil
 	g := sim.App().Graph
 	b.configs = make(map[dag.NodeID]hardware.Config, g.Len())
 	for _, id := range g.Nodes() {
@@ -90,15 +94,17 @@ func (b *IceBreaker) Setup(sim simulator.ControlPlane) {
 // offsets) and stretch keep-alives.
 func (b *IceBreaker) OnWindow(sim simulator.ControlPlane, now float64) {
 	counts := sim.CountsHistory()
-	hist := make([]float64, len(counts))
-	for i, c := range counts {
-		hist[i] = float64(c)
+	if len(counts) < len(b.hist) {
+		b.hist = b.hist[:0] // a different ControlPlane: start over
+	}
+	for _, c := range counts[len(b.hist):] {
+		b.hist = append(b.hist, float64(c))
 	}
 	pred := 0.0
-	if len(hist) >= 8 {
-		pred = b.fip.Predict(hist)
+	if len(b.hist) >= 8 {
+		pred = b.fip.Predict(b.hist)
 	}
-	recentlyActive := len(hist) > 0 && hist[len(hist)-1] > 0
+	recentlyActive := len(b.hist) > 0 && b.hist[len(b.hist)-1] > 0
 	if pred >= 0.5 || recentlyActive {
 		for _, id := range sim.App().Graph.Nodes() {
 			// Warm everything for the start of the next window — the

@@ -8,6 +8,7 @@ package controller
 
 import (
 	"math"
+	"slices"
 	"strconv"
 
 	"smiless/internal/autoscaler"
@@ -122,6 +123,14 @@ type SMIless struct {
 	// times: itLow drives the Case I/II policy split (an early arrival
 	// must still find a warm container), itHigh sizes keep-alives.
 	itLow, itHigh float64
+	// events is the window-level event series, folded incrementally from
+	// the substrate's append-only arrival history; gaps is the scratch
+	// buffer updateQuantiles sorts.
+	events eventSeries
+	gaps   []float64
+	// longestPath caches the application's longest path length in
+	// functions (0 until first needed).
+	longestPath int
 
 	// Resilience layer (active only when the run injects faults; see
 	// resilience.go). resilient mirrors sim.FaultsEnabled() so fault-free
@@ -415,6 +424,10 @@ func (s *SMIless) slackBatch(id dag.NodeID, sim simulator.ControlPlane) int {
 
 // Setup implements simulator.Driver.
 func (s *SMIless) Setup(sim simulator.ControlPlane) {
+	// A driver reused on a fresh ControlPlane must not fold the new
+	// arrival history onto the previous run's series.
+	s.events = eventSeries{}
+	s.longestPath = 0
 	if sim.FaultsEnabled() {
 		s.enableResilience(sim)
 	}
@@ -430,29 +443,45 @@ func (s *SMIless) Setup(sim simulator.ControlPlane) {
 	}
 }
 
-// eventTimes reduces raw arrivals to window-level events: the first
+// eventSeries reduces raw arrivals to window-level events: the first
 // arrival time in each non-empty window. The paper defines inter-arrival
 // time at this granularity (§IV-B2: "the time interval between two
 // consecutive non-zero predictions of invocation numbers"), which keeps a
 // burst of many requests inside one window from reading as a rate change.
-func eventTimes(sim simulator.ControlPlane) []float64 {
+// The arrival history is append-only, so the series is a left fold that
+// only ever consumes the arrivals added since the previous call.
+type eventSeries struct {
+	times []float64
+	// seen counts the arrivals already folded; lastWin is the window index
+	// of the latest event (meaningful only once times is non-empty).
+	seen    int
+	lastWin int
+}
+
+// windowEvents folds the arrivals observed since the previous call into
+// the cached event series and returns it. The result is owned by the
+// controller: callers must not modify it.
+func (s *SMIless) windowEvents(sim simulator.ControlPlane) []float64 {
 	arr := sim.ArrivalTimes()
+	e := &s.events
+	if len(arr) < e.seen {
+		// The history shrank: this is a different ControlPlane.
+		*e = eventSeries{}
+	}
 	w := sim.Window()
-	var out []float64
-	lastWin := -1
-	for _, a := range arr {
-		wi := int(a / w)
-		if wi != lastWin {
-			out = append(out, a)
-			lastWin = wi
+	for _, a := range arr[e.seen:] {
+		if wi := int(a / w); len(e.times) == 0 || wi != e.lastWin {
+			e.times = append(e.times, a)
+			e.lastWin = wi
 		}
 	}
-	return out
+	e.seen = len(arr)
+	return e.times
 }
 
 // predictIT returns the predicted inter-arrival time.
 func (s *SMIless) predictIT(sim simulator.ControlPlane) float64 {
-	arr := eventTimes(sim)
+	arr := s.windowEvents(sim)
 	if len(arr) < 2 {
 		return 10
 	}
@@ -515,22 +544,27 @@ func (s *SMIless) predictCount(sim simulator.ControlPlane) int {
 	return best
 }
 
-// alignedSeries builds the dual-input series for the IAT predictor.
-func alignedSeries(sim simulator.ControlPlane) (iats, cnts []float64) {
-	arr := eventTimes(sim)
-	counts := sim.CountsHistory()
-	w := sim.Window()
-	for i := 1; i < len(arr); i++ {
-		iats = append(iats, arr[i]-arr[i-1])
-		wi := int(arr[i] / w)
-		if wi >= len(counts) {
-			wi = len(counts) - 1
-		}
-		if wi >= 0 {
-			cnts = append(cnts, float64(counts[wi]))
-		} else {
-			cnts = append(cnts, 0)
-		}
+// alignedAt returns entry i of the dual-input IAT series over the events:
+// the gap ending at event i+1, and the count of the window holding that
+// event (clamped to the last completed window).
+func alignedAt(events []float64, counts []int, w float64, i int) (iat, cnt float64) {
+	iat = events[i+1] - events[i]
+	wi := int(events[i+1] / w)
+	if wi >= len(counts) {
+		wi = len(counts) - 1
+	}
+	if wi >= 0 {
+		cnt = float64(counts[wi])
+	}
+	return iat, cnt
+}
+
+// alignedSeries builds the whole dual-input series for the IAT predictor.
+func alignedSeries(events []float64, counts []int, w float64) (iats, cnts []float64) {
+	for i := 0; i+1 < len(events); i++ {
+		iat, cnt := alignedAt(events, counts, w, i)
+		iats = append(iats, iat)
+		cnts = append(cnts, cnt)
 	}
 	return iats, cnts
 }
@@ -538,17 +572,21 @@ func alignedSeries(sim simulator.ControlPlane) (iats, cnts []float64) {
 // observeForecasts streams the live series' new tail into the forecaster
 // wrappers: each Observe scores the in-flight forecasts registered on
 // earlier windows (the walk-forward quality harness) and feeds the drift
-// detector before updating the model's own history.
+// detector before updating the model's own history. Only the entries not
+// yet fed are built, each against the current counts, exactly as a full
+// alignedSeries rebuild would build them now.
 func (s *SMIless) observeForecasts(sim simulator.ControlPlane) {
 	if !s.Opts.UseLSTM {
 		return
 	}
-	iats, cnts := alignedSeries(sim)
-	for i := s.fedIAT; i < len(iats); i++ {
-		s.itFc.Observe(forecast.Observation{Value: iats[i], Cov: cnts[i]})
-	}
-	s.fedIAT = len(iats)
+	events := s.windowEvents(sim)
 	counts := sim.CountsHistory()
+	w := sim.Window()
+	for i := s.fedIAT; i+1 < len(events); i++ {
+		iat, cnt := alignedAt(events, counts, w, i)
+		s.itFc.Observe(forecast.Observation{Value: iat, Cov: cnt})
+	}
+	s.fedIAT = max(len(events)-1, 0)
 	for i := s.fedCnt; i < len(counts); i++ {
 		s.cntFc.Observe(forecast.Observation{Value: float64(counts[i])})
 	}
@@ -570,7 +608,7 @@ func (s *SMIless) maybeTrain(sim simulator.ControlPlane) {
 		!s.itFc.Drifted() && !s.cntFc.Drifted() {
 		return
 	}
-	iats, cnts := alignedSeries(sim)
+	iats, cnts := alignedSeries(s.windowEvents(sim), sim.CountsHistory(), sim.Window())
 	if len(iats) < 64 {
 		return
 	}
@@ -613,8 +651,8 @@ func (s *SMIless) publishForecastStats(sim simulator.ControlPlane) {
 // the recent gap history, falling back to fractions of the point estimate
 // when history is thin.
 func (s *SMIless) updateQuantiles(sim simulator.ControlPlane, it float64) {
-	arr := eventTimes(sim)
-	var gaps []float64
+	arr := s.windowEvents(sim)
+	gaps := s.gaps[:0]
 	start := len(arr) - 60
 	if start < 1 {
 		start = 1
@@ -622,12 +660,14 @@ func (s *SMIless) updateQuantiles(sim simulator.ControlPlane, it float64) {
 	for i := start; i < len(arr); i++ {
 		gaps = append(gaps, arr[i]-arr[i-1])
 	}
+	s.gaps = gaps
 	if len(gaps) < 8 {
 		s.itLow = it * 0.3
 		s.itHigh = it * 3
 	} else {
-		s.itLow = mathx.Percentile(gaps, 10)
-		s.itHigh = mathx.Percentile(gaps, 99) * 1.3
+		slices.Sort(gaps)
+		s.itLow = mathx.PercentileSorted(gaps, 10)
+		s.itHigh = mathx.PercentileSorted(gaps, 99) * 1.3
 	}
 	if s.itHigh < 2*sim.Window() {
 		s.itHigh = 2 * sim.Window()
@@ -714,7 +754,7 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 			if gFn >= 8 {
 				var plan autoscaler.Plan
 				if backlog > 0 {
-					budget := s.SLA * 0.8 / float64(sim.App().Graph.LongestPathLen())
+					budget := s.SLA * 0.8 / float64(s.pathLen(sim))
 					var err error
 					plan, err = s.scaler.DecideReactive(prof, gFn, sim.Window(), budget+prof.InitTime(s.plan.Configs[id]))
 					if err != nil {
@@ -780,7 +820,7 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 
 	// Proactive pre-warming: when the next predicted arrival falls within
 	// the coming window, make sure each pre-warm function is warm in time.
-	arr := eventTimes(sim)
+	arr := s.windowEvents(sim)
 	if len(arr) > 0 && !s.bursting {
 		last := arr[len(arr)-1]
 		// Two pre-warm horizons: the early quantile covers busy-phase
@@ -814,6 +854,15 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 			{Key: "idle", Val: strconv.FormatBool(s.idleMode)},
 		})
 	}
+}
+
+// pathLen returns the application's longest path length in functions,
+// computed on first use: the graph never changes during a run.
+func (s *SMIless) pathLen(sim simulator.ControlPlane) int {
+	if s.longestPath == 0 {
+		s.longestPath = sim.App().Graph.LongestPathLen()
+	}
+	return s.longestPath
 }
 
 // predictCountWithBacklog combines the count prediction with current

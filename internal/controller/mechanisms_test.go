@@ -106,7 +106,7 @@ func TestEventTimesCollapsesBursts(t *testing.T) {
 	if st.Completed != 6 {
 		t.Fatalf("completed %d/6", st.Completed)
 	}
-	events := eventTimes(sim)
+	events := drv.windowEvents(sim)
 	if len(events) != 2 {
 		t.Errorf("window events = %d, want 2 (bursts collapse)", len(events))
 	}

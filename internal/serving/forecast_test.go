@@ -3,6 +3,7 @@ package serving
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"smiless/internal/controller"
 	"smiless/internal/hardware"
@@ -38,6 +39,11 @@ func runForecastServing(t *testing.T, opts controller.Options) *simulator.RunSta
 	drv := controller.New(hardware.DefaultCatalog(), profiles, 10, opts)
 	rt, fake := newTestRuntime(t, Config{App: app, SLA: 10, Window: 1}, drv)
 	defer rt.Close()
+	// Each request is sent only once the runtime has handled every event
+	// due at the current time (Setup's pre-warms at t=0, window ticks
+	// later); otherwise the request races those events for rt.mu and the
+	// run is not replay-deterministic.
+	waitQuiesced(t, rt)
 	for i := 0; i < 70; i++ {
 		ch := mustInvoke(t, rt)
 		res := await(t, rt, fake, ch)
@@ -46,8 +52,23 @@ func runForecastServing(t *testing.T, opts controller.Options) *simulator.RunSta
 		}
 		next := float64(i+1) * 2
 		stepUntil(t, rt, fake, func() bool { return fake.Now() >= next })
+		waitQuiesced(t, rt)
 	}
 	return rt.Snapshot()
+}
+
+// waitQuiesced blocks until the runtime has handled every event due at the
+// current fake time, without advancing the clock (stepUntil would advance
+// it once the runtime quiesces).
+func waitQuiesced(t *testing.T, rt *Runtime) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for !rt.Quiesced() {
+		if time.Now().After(deadline) {
+			t.Fatal("waitQuiesced: runtime never quiesced")
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }
 
 // TestServingForecasterActivates runs the live decision loop with the

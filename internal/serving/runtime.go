@@ -648,19 +648,19 @@ func (rt *Runtime) Snapshot() *simulator.RunStats {
 }
 
 // CountsHistoryLocked is the external (locked) counterpart of the
-// driver-facing CountsHistory.
+// driver-facing CountsHistory. The result outlives mu, so it is a copy.
 func (rt *Runtime) CountsHistoryLocked() []int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.CountsHistory()
+	return append([]int(nil), rt.counts...)
 }
 
 // ArrivalTimesLocked is the external (locked) counterpart of the
-// driver-facing ArrivalTimes.
+// driver-facing ArrivalTimes. The result outlives mu, so it is a copy.
 func (rt *Runtime) ArrivalTimesLocked() []float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.ArrivalTimes()
+	return append([]float64(nil), rt.arrivalTimes...)
 }
 
 // LiveCost returns the cost accrued by still-live containers.
@@ -726,14 +726,18 @@ func (rt *Runtime) GetDirective(id dag.NodeID) simulator.Directive {
 	return rt.fn(id).directive
 }
 
-// CountsHistory returns completed per-window arrival counts so far.
+// CountsHistory returns a read-only view of the completed per-window
+// arrival counts so far, valid only while the caller holds mu (see
+// simulator.ControlPlane for the view contract).
 func (rt *Runtime) CountsHistory() []int {
-	return append([]int(nil), rt.counts...)
+	return rt.counts[:len(rt.counts):len(rt.counts)]
 }
 
-// ArrivalTimes returns every arrival timestamp observed so far.
+// ArrivalTimes returns a read-only view of every arrival timestamp
+// observed so far, valid only while the caller holds mu (see
+// simulator.ControlPlane for the view contract).
 func (rt *Runtime) ArrivalTimes() []float64 {
-	return append([]float64(nil), rt.arrivalTimes...)
+	return rt.arrivalTimes[:len(rt.arrivalTimes):len(rt.arrivalTimes)]
 }
 
 // QueueLen returns one function's ready-but-undispatched backlog.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,6 +80,12 @@ func stepUntil(t *testing.T, rt *Runtime, fake *clock.Fake, cond func() bool) {
 			t.Fatalf("stepUntil: condition not reached by model time %v", fake.Now())
 		}
 		if rt.Quiesced() {
+			// The events that just quiesced may have met cond (a result
+			// sent before the runtime went to sleep): re-check it before
+			// moving time on, or the caller acts one deadline late.
+			if cond() {
+				return
+			}
 			if !fake.AdvanceToNext() {
 				time.Sleep(20 * time.Microsecond)
 			}
@@ -349,6 +357,62 @@ func TestWindowCadenceAndCounts(t *testing.T) {
 	}
 	if got := len(rt.ArrivalTimesLocked()); got != 2 {
 		t.Errorf("arrival times = %d, want 2", got)
+	}
+}
+
+// viewCheckDriver appends to the driver-facing history views on every
+// window and counts windows whose views had spare capacity.
+type viewCheckDriver struct {
+	staticDriver
+	windows, uncapped atomic.Int64
+}
+
+func (d *viewCheckDriver) OnWindow(cp simulator.ControlPlane, now float64) {
+	arr, counts := cp.ArrivalTimes(), cp.CountsHistory()
+	if cap(arr) != len(arr) || cap(counts) != len(counts) {
+		d.uncapped.Add(1)
+	}
+	_ = append(arr, -1)
+	_ = append(counts, -1)
+	d.windows.Add(1)
+}
+
+// TestHistoryViewsCappedAndLockedCopies: the driver-facing ArrivalTimes and
+// CountsHistory are views with cap == len, so a driver append reallocates;
+// the …Locked accessors hand data past rt.mu and so return copies that a
+// caller may mutate without touching the runtime.
+func TestHistoryViewsCappedAndLockedCopies(t *testing.T) {
+	app := testChain([]float64{0.1}, 1.0)
+	d := &viewCheckDriver{staticDriver: *keepAliveDriver(1)}
+	rt, fake := newTestRuntime(t, Config{App: app, SLA: 10, Window: 1}, d)
+
+	for i := 0; i < 3; i++ {
+		_ = await(t, rt, fake, mustInvoke(t, rt))
+	}
+	stepUntil(t, rt, fake, func() bool { return d.windows.Load() >= 3 })
+	if n := d.uncapped.Load(); n != 0 {
+		t.Errorf("%d windows saw a history view with spare capacity", n)
+	}
+
+	arr, counts := rt.ArrivalTimesLocked(), rt.CountsHistoryLocked()
+	if len(arr) != 3 || len(counts) == 0 {
+		t.Fatalf("history: %d arrivals, %d windows", len(arr), len(counts))
+	}
+	wantArr := append([]float64(nil), arr...)
+	wantCounts := append([]int(nil), counts...)
+	for i := range arr {
+		arr[i] = -1
+	}
+	for i := range counts {
+		counts[i] = -1
+	}
+	rt.mu.Lock()
+	gotArr := append([]float64(nil), rt.arrivalTimes...)
+	gotCounts := append([]int(nil), rt.counts[:len(wantCounts)]...)
+	rt.mu.Unlock()
+	if !slices.Equal(gotArr, wantArr) || !slices.Equal(gotCounts, wantCounts) {
+		t.Errorf("mutating the …Locked results changed the runtime: arrivals %v (want %v), counts %v (want %v)",
+			gotArr, wantArr, gotCounts, wantCounts)
 	}
 }
 

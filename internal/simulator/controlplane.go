@@ -30,6 +30,11 @@ type ControlPlane interface {
 
 	// CountsHistory returns completed per-window arrival counts so far;
 	// ArrivalTimes returns every application arrival timestamp observed.
+	// Both are read-only views of substrate state, not copies: valid until
+	// the driver callback returns, so do not retain or modify them. Both
+	// histories are append-only and each view's capacity equals its
+	// length, so an append on a view reallocates rather than writing into
+	// the substrate. Copy whatever must outlive the callback.
 	CountsHistory() []int
 	ArrivalTimes() []float64
 

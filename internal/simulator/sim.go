@@ -460,14 +460,16 @@ func (s *Simulator) GetDirective(id dag.NodeID) Directive {
 	return fs.directive
 }
 
-// CountsHistory returns completed per-window arrival counts so far.
+// CountsHistory returns a read-only view of the completed per-window
+// arrival counts so far (see ControlPlane for the view contract).
 func (s *Simulator) CountsHistory() []int {
-	return append([]int(nil), s.counts...)
+	return s.counts[:len(s.counts):len(s.counts)]
 }
 
-// ArrivalTimes returns all application arrival timestamps observed so far.
+// ArrivalTimes returns a read-only view of every application arrival
+// timestamp observed so far (see ControlPlane for the view contract).
 func (s *Simulator) ArrivalTimes() []float64 {
-	return append([]float64(nil), s.arrivalTimes...)
+	return s.arrivalTimes[:len(s.arrivalTimes):len(s.arrivalTimes)]
 }
 
 // QueueLen returns the number of ready-but-undispatched invocations of a

@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"smiless/internal/apps"
@@ -311,5 +312,41 @@ func TestStatsSummaryRenders(t *testing.T) {
 	}
 	if got := st.TopCostFunctions(); len(got) == 0 {
 		t.Error("no cost attribution")
+	}
+}
+
+// appendingDriver appends to the history views on every window, as a
+// careless driver might, and records whether each view's capacity was
+// capped at its length.
+type appendingDriver struct {
+	staticDriver
+	uncapped int
+}
+
+func (d *appendingDriver) OnWindow(cp ControlPlane, _ float64) {
+	arr, counts := cp.ArrivalTimes(), cp.CountsHistory()
+	if cap(arr) != len(arr) || cap(counts) != len(counts) {
+		d.uncapped++
+	}
+	_ = append(arr, -1)
+	_ = append(counts, -1)
+}
+
+// TestHistoryViewsAreCapped: ArrivalTimes and CountsHistory are views with
+// cap == len, so an append by a driver reallocates instead of writing into
+// the simulator's own history.
+func TestHistoryViewsAreCapped(t *testing.T) {
+	d := &appendingDriver{staticDriver: *keepAliveDriver(cpu(2), 30)}
+	tr := trace.Poisson(mathx.NewRand(9), 2, 60)
+	sim := MustNew(Config{App: apps.Pipeline(2), SLA: 5, Seed: 1}, d)
+	sim.MustRun(tr)
+	if d.uncapped != 0 {
+		t.Errorf("%d windows saw a view with spare capacity", d.uncapped)
+	}
+	if arr := sim.ArrivalTimes(); !slices.Equal(arr, tr.Arrivals) {
+		t.Errorf("arrival history %v, want the trace's %v", arr, tr.Arrivals)
+	}
+	if counts := sim.CountsHistory(); slices.Contains(counts, -1) {
+		t.Errorf("count history %v holds a driver-appended value", counts)
 	}
 }

@@ -19,6 +19,7 @@ package smiless
 
 import (
 	"fmt"
+	"slices"
 
 	"smiless/internal/apps"
 	"smiless/internal/coldstart"
@@ -127,11 +128,18 @@ func CPUOnlyCatalog() *Catalog { return hardware.CPUOnlyCatalog() }
 
 // NewApplication builds a custom application from functions (node ID →
 // Table I short name) and directed edges. The DAG must have exactly one
-// entry function.
+// entry function. Nodes are inserted in sorted NodeID order, so the graph,
+// and every seeded run over it, is the same from process to process.
 func NewApplication(name string, functions map[NodeID]string, edges [][2]NodeID) (*Application, error) {
 	g := dag.New()
 	specs := make(map[NodeID]*FunctionSpec, len(functions))
-	for id, fnName := range functions {
+	ids := make([]NodeID, 0, len(functions))
+	for id := range functions {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		fnName := functions[id]
 		spec, ok := apps.Functions[fnName]
 		if !ok {
 			return nil, fmt.Errorf("smiless: unknown function %q (want a Table I short name)", fnName)

@@ -1,7 +1,10 @@
 package smiless_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"smiless"
@@ -36,6 +39,46 @@ func TestNewApplicationErrors(t *testing.T) {
 	if _, err := smiless.NewApplication("bad",
 		map[smiless.NodeID]string{"a": "IR", "b": "QA"}, nil); err == nil {
 		t.Error("two entries should fail")
+	}
+}
+
+func TestNewApplicationDeterministicOrder(t *testing.T) {
+	fns := map[smiless.NodeID]string{}
+	var edges [][2]smiless.NodeID
+	names := []string{"IR", "FR", "HAP", "DB"}
+	fns["entry"] = "OD"
+	for i := 0; i < 12; i++ {
+		id := smiless.NodeID(fmt.Sprintf("n%02d", i))
+		fns[id] = names[i%len(names)]
+		edges = append(edges, [2]smiless.NodeID{"entry", id})
+	}
+	var first []smiless.NodeID
+	for k := 0; k < 20; k++ {
+		app, err := smiless.NewApplication("fan", fns, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := app.Graph.Nodes()
+		if k == 0 {
+			first = nodes
+			if !slices.IsSorted(nodes) {
+				t.Fatalf("nodes %v not in sorted NodeID order", nodes)
+			}
+			continue
+		}
+		if !slices.Equal(nodes, first) {
+			t.Fatalf("build %d: nodes %v, first build %v", k, nodes, first)
+		}
+	}
+}
+
+func TestNewApplicationReportsFirstUnknownName(t *testing.T) {
+	fns := map[smiless.NodeID]string{"d": "NOPE-D", "b": "NOPE-B", "a": "IR", "c": "NOPE-C"}
+	for k := 0; k < 20; k++ {
+		_, err := smiless.NewApplication("bad", fns, nil)
+		if err == nil || !strings.Contains(err.Error(), `"NOPE-B"`) {
+			t.Fatalf("error %v, want the lexically first bad entry (b: NOPE-B)", err)
+		}
 	}
 }
 
