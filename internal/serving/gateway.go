@@ -242,7 +242,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	g.rt.mu.Lock()
 	defer g.rt.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	if err := rec.WriteChromeTrace(w, g.rt.now()); err != nil {
+	if err := rec.WriteChromeTrace(w, g.rt.Now()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -1,24 +1,17 @@
 package serving
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
-	"smiless/internal/apps"
 	"smiless/internal/clock"
-	"smiless/internal/coldstart"
 	"smiless/internal/dag"
-	"smiless/internal/faults"
 	"smiless/internal/hardware"
 	"smiless/internal/mathx"
-	"smiless/internal/placement"
 	"smiless/internal/simulator"
-	"smiless/internal/tracing"
 )
 
 // The simulator is the reference implementation of the shared clock
@@ -26,106 +19,26 @@ import (
 // //lint:deterministic tag must not grow a clock import).
 var _ clock.Clock = (*simulator.Simulator)(nil)
 
-// event kinds, mirroring the simulator's event loop.
-const (
-	evInitDone = iota
-	evExecDone
-	evIdleTimeout
-	evPrewarm
-	evInitFail
-	evExecFail
-	evExecTimeout
-	evHedge
-	evRetry
-	evLinger
-	evWindow
-	evGossip         // health-detector tick
-	evDeadline       // per-request deadline elapsed
-	evNodeCrash      // scheduled NodeFault: process dies (cid = node)
-	evNodeRestart    // scheduled NodeFault: crashed node rejoins (cid = node)
-	evPartitionStart // scheduled NodeFault: node unreachable (cid = node)
-	evPartitionEnd   // scheduled NodeFault: partition heals (cid = node)
-	evPreempt        // spot preemption window begins (cid = node)
-	evPreemptEnd     // preempted capacity returns (cid = node)
-)
-
-type event struct {
-	at    float64 // model-time deadline in seconds
-	seq   int     // FIFO tie-break among equal deadlines
-	kind  int
-	cid   int // container id (node index for node events)
-	epoch int
-	fn    dag.NodeID
-	ni    *nodeInv
-	inv   *appInv // deadline events
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at { //lint:allow floateq heap tie-break: the seq comparison applies only on exact deadline collisions
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// injector is the fault source (satisfied by *faults.Injector); kept as an
-// interface so tests can script outcomes.
-type injector interface {
-	InitOutcome(fn string) (bool, float64)
-	ExecOutcome(fn string) (bool, float64)
-	StragglerFactor(fn string) float64
-	Jitter() float64
-}
-
-// Runtime is the live control plane: one application served by a mock
-// executor pool against a real (or fake) clock.
+// Runtime is the live control plane: one application served by the
+// shared executor against a real (or fake) clock.
 //
-// Concurrency contract: all mutable state is guarded by mu. The
-// simulator.ControlPlane methods (SetDirective, SchedulePrewarm,
-// EnsureInstances, Stats, ...) do NOT take the lock themselves — they are
-// for the driver, whose Setup and OnWindow callbacks already run under it.
-// External callers (gateways, tests) use the locked surface instead:
-// Invoke, Snapshot, LiveCost, Inflight, Rejected, Drain, Close.
+// Concurrency contract: all mutable state, the executor included, is
+// guarded by mu. The driver's Setup and OnWindow callbacks run under it and
+// program the executor directly; external callers (gateways, tests) use
+// the locked surface: Invoke, Snapshot, LiveCost, Inflight, Rejected,
+// Drain, Close and the node admin methods.
 type Runtime struct {
 	cfg    Config
 	driver simulator.Driver
 	clk    clock.Scheduler
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	prng   *rand.Rand // placement-only stream: p2c draws never perturb timing samples
-	inj    injector
-	rec    *tracing.Recorder
-	events eventHeap
-	seq    int
-	nodes  []*nodeAgent
-	// lastPop records the deadline of the most recently popped event; only
-	// written under -tags smiless_invariants, where the event loop asserts
-	// pops never run backwards.
-	lastPop float64
+	mu   sync.Mutex
+	ex   *simulator.Executor
+	prng *rand.Rand // placement-only stream: p2c draws never perturb timing samples
 
-	fns      map[dag.NodeID]*fnState
-	conts    map[int]*container
-	nextCont int
-	nextInv  int
-
-	arrivalsThisWindow int
-	counts             []int
-	arrivalTimes       []float64
-	stats              *simulator.RunStats
-
+	// waiters holds each unresolved request's delivery channels, keyed by
+	// request id.
+	waiters  map[int]waiter
 	inflight int
 	rejected int
 	draining bool
@@ -143,6 +56,17 @@ type Runtime struct {
 	loopDone    chan struct{}
 }
 
+// waiter is one admitted request's delivery end: res carries its Result;
+// settled closes when it resolves, releasing the context watcher.
+type waiter struct {
+	res     chan Result
+	settled chan struct{}
+}
+
+// elastic is the per-node capacity of the live substrate: large enough
+// that no launch ever waits for room.
+const elastic = 1 << 30
+
 // New prepares a runtime for the given configuration and driver. The
 // runtime is inert until Start.
 func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
@@ -157,51 +81,24 @@ func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
 		cfg:      cfg,
 		driver:   driver,
 		clk:      cfg.Clock,
-		rng:      mathx.NewRand(cfg.Seed),
 		prng:     mathx.NewRand(cfg.Seed ^ 0x9e3779b9),
-		rec:      cfg.Recorder,
-		fns:      make(map[dag.NodeID]*fnState),
-		conts:    make(map[int]*container),
-		stats:    simulator.NewRunStats(cfg.SLA),
+		waiters:  make(map[int]waiter),
 		wake:     make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	for _, id := range cfg.App.Graph.Nodes() {
-		rt.fns[id] = &fnState{
-			id:         id,
-			spec:       cfg.App.Spec(id),
-			class:      placement.ClassOf(cfg.App.Spec(id).Field),
-			containers: make(map[int]*container),
-			directive: normalize(simulator.Directive{
-				Config: hardware.Config{Kind: hardware.CPU, Cores: 1},
-				Policy: coldstart.KeepAlive,
-				Batch:  1, Instances: 1, KeepAlive: 60,
-			}),
-		}
+	nodes := make([]hardware.NodeSpec, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = hardware.NodeSpec{Cores: elastic, GPUs: elastic}
 	}
-	rt.nodes = make([]*nodeAgent, cfg.Nodes)
-	for i := range rt.nodes {
-		rt.nodes[i] = &nodeAgent{id: i, health: nodeUp, alive: true}
-	}
-	// Guard against the typed-nil interface trap: only assign when the
-	// injector is actually enabled.
-	if in := faults.NewInjector(cfg.Faults); in != nil {
-		rt.inj = in
-	}
+	rt.ex = simulator.NewExecutor(simulator.Config{
+		App: cfg.App, Cluster: hardware.ClusterSpec{Nodes: nodes}, Pricing: cfg.Pricing,
+		GossipInterval: cfg.GossipInterval, SuspectAfter: cfg.SuspectAfter, DownAfter: cfg.DownAfter,
+		SLA: cfg.SLA, Window: cfg.Window, Interference: cfg.Interference,
+		PriceTrace: cfg.PriceTrace, Seed: cfg.Seed, Faults: cfg.Faults,
+	}, driver, simulator.Host{Place: rt.placeNode, BatchLinger: cfg.BatchLinger, Resolve: rt.resolve})
+	rt.ex.AttachRecorder(cfg.Recorder)
 	return rt, nil
-}
-
-// normalize fills Directive defaults (the simulator's normalized() is
-// unexported).
-func normalize(d simulator.Directive) simulator.Directive {
-	if d.Batch < 1 {
-		d.Batch = 1
-	}
-	if d.Instances < 1 {
-		d.Instances = 1
-	}
-	return d
 }
 
 // Start runs the driver's Setup, arms the decision-window cadence and
@@ -213,51 +110,18 @@ func (rt *Runtime) Start() {
 		panic("serving: Start called twice or after Close")
 	}
 	rt.started = true
-	rt.driver.Setup(rt)
-	now := rt.now()
-	rt.schedule(&event{at: now + rt.cfg.Window, kind: evWindow})
-	// Scheduled node faults: times are model seconds from the epoch.
-	if rt.cfg.Faults != nil {
-		for _, nf := range rt.cfg.Faults.NodeFaults {
-			switch nf.Kind {
-			case faults.NodeCrash:
-				rt.schedule(&event{at: now + nf.Start, kind: evNodeCrash, cid: nf.Node})
-				if nf.End > nf.Start {
-					rt.schedule(&event{at: now + nf.End, kind: evNodeRestart, cid: nf.Node})
-				}
-			case faults.NodePartition:
-				rt.schedule(&event{at: now + nf.Start, kind: evPartitionStart, cid: nf.Node})
-				rt.schedule(&event{at: now + nf.End, kind: evPartitionEnd, cid: nf.Node})
-			}
-		}
-	}
-	// Spot preemption windows: like scheduled node faults, times are model
-	// seconds from the epoch.
-	if rt.cfg.PriceTrace != nil {
-		for _, w := range rt.cfg.PriceTrace.Preemptions {
-			rt.schedule(&event{at: now + w.Start, kind: evPreempt, cid: w.Node})
-			rt.schedule(&event{at: now + w.End, kind: evPreemptEnd, cid: w.Node})
-		}
-	}
+	rt.ex.Advance(rt.clk.Now())
+	rt.driver.Setup(rt.ex)
 	// The detector only ticks when something can miss heartbeats: a
 	// multi-node pool, or scheduled node faults on a single node.
-	if rt.nodesActive() || (rt.cfg.Faults != nil && len(rt.cfg.Faults.NodeFaults) > 0) {
-		rt.schedule(&event{at: now + rt.cfg.GossipInterval, kind: evGossip})
-	}
+	rt.ex.StartLive(rt.cfg.Nodes > 1 || (rt.cfg.Faults != nil && len(rt.cfg.Faults.NodeFaults) > 0))
 	rt.mu.Unlock()
 	go rt.loop()
 }
 
-// now returns the current model time. Safe without the lock (the clock is
+// Now returns the current model time. Safe without the lock (the clock is
 // concurrency-safe by contract).
-func (rt *Runtime) now() float64 { return rt.clk.Now() }
-
-// schedule pushes one future event; callers hold mu.
-func (rt *Runtime) schedule(e *event) {
-	rt.seq++
-	e.seq = rt.seq
-	heap.Push(&rt.events, e)
-}
+func (rt *Runtime) Now() float64 { return rt.clk.Now() }
 
 // wakeLoop pokes the scheduler loop to re-read the heap; callers hold mu.
 // Used by external entry points (Invoke) whose events the sleeping loop
@@ -275,9 +139,9 @@ func (rt *Runtime) wakeLoop() {
 }
 
 // loop is the scheduler goroutine: sleep until the earliest event deadline,
-// then drain everything due under the lock. It is the only goroutine that
-// pops the heap, so events are always handled in deadline order — the same
-// discipline as the simulator's discrete-event loop.
+// then step everything due under the lock. It is the only goroutine that
+// steps the executor's heap, so events are always handled in deadline
+// order — the same discipline as the simulator's discrete-event loop.
 func (rt *Runtime) loop() {
 	defer close(rt.loopDone)
 	for {
@@ -288,13 +152,7 @@ func (rt *Runtime) loop() {
 		}
 		rt.sleeping = false
 		rt.wakePending = false
-		for len(rt.events) > 0 && rt.events[0].at <= rt.now() {
-			e := heap.Pop(&rt.events).(*event)
-			if invariantsEnabled {
-				invariant(e.at >= rt.lastPop, "deadline heap popped out of order: %.9f after %.9f (kind %d)", e.at, rt.lastPop, e.kind)
-				rt.lastPop = e.at
-			}
-			rt.handle(e)
+		for rt.ex.Step(rt.clk.Now()) {
 		}
 		// Register the wake-up timer BEFORE publishing sleeping=true and
 		// releasing the lock: Quiesced (the fake-clock stepping probe) must
@@ -302,8 +160,8 @@ func (rt *Runtime) loop() {
 		// exists, otherwise a test advancer could jump time past it via a
 		// stale waiter from an abandoned earlier registration.
 		var timer <-chan struct{}
-		if len(rt.events) > 0 {
-			timer = rt.clk.After(rt.events[0].at - rt.now())
+		if at, ok := rt.ex.NextDeadline(); ok {
+			timer = rt.clk.After(at - rt.clk.Now())
 		}
 		rt.sleeping = true
 		rt.mu.Unlock()
@@ -314,69 +172,6 @@ func (rt *Runtime) loop() {
 		case <-rt.wake:
 		case <-timer: // nil (blocks forever) when the heap is empty
 		}
-	}
-}
-
-// handle dispatches one due event; callers hold mu. Node-side events (init
-// and exec completions or crashes) from a crashed node are dropped — the
-// work died with the process — and from a partitioned node they are held and
-// replayed in order when the partition heals.
-func (rt *Runtime) handle(e *event) {
-	if nodeSideEvent(e.kind) {
-		if c := rt.conts[e.cid]; c != nil {
-			n := rt.nodes[c.node]
-			if !n.alive {
-				return
-			}
-			if n.partitioned {
-				n.held = append(n.held, e)
-				return
-			}
-		}
-	}
-	switch e.kind {
-	case evInitDone:
-		rt.onInitDone(e.cid)
-	case evExecDone:
-		rt.onExecDone(e.cid, e.epoch)
-	case evIdleTimeout:
-		rt.onIdleTimeout(e.cid, e.epoch)
-	case evPrewarm:
-		rt.onPrewarm(e.fn)
-	case evInitFail:
-		rt.onInitFail(e.cid)
-	case evExecFail:
-		rt.onExecFail(e.cid, e.epoch)
-	case evExecTimeout:
-		rt.onExecTimeout(e.cid, e.epoch)
-	case evHedge:
-		rt.onHedge(e.cid, e.epoch)
-	case evRetry:
-		rt.onRetry(e.ni)
-	case evLinger:
-		rt.onLinger(e.fn, e.epoch)
-	case evGossip:
-		rt.onGossip()
-	case evDeadline:
-		rt.onDeadline(e.inv)
-	case evNodeCrash:
-		rt.onNodeCrash(e.cid)
-	case evNodeRestart:
-		rt.onNodeRestart(e.cid)
-	case evPartitionStart:
-		rt.onPartitionStart(e.cid)
-	case evPartitionEnd:
-		rt.onPartitionEnd(e.cid)
-	case evPreempt:
-		rt.onPreempt(e.cid)
-	case evPreemptEnd:
-		rt.onPreemptEnd(e.cid)
-	case evWindow:
-		rt.counts = append(rt.counts, rt.arrivalsThisWindow)
-		rt.arrivalsThisWindow = 0
-		rt.driver.OnWindow(rt, rt.now())
-		rt.samplePods()
-		rt.schedule(&event{at: e.at + rt.cfg.Window, kind: evWindow})
 	}
 }
 
@@ -391,7 +186,8 @@ func (rt *Runtime) Quiesced() bool {
 	if !rt.sleeping || rt.wakePending {
 		return false
 	}
-	return len(rt.events) == 0 || rt.events[0].at > rt.now()
+	at, ok := rt.ex.NextDeadline()
+	return !ok || at > rt.clk.Now()
 }
 
 // Invoke admits one application request and returns a channel that yields
@@ -429,9 +225,8 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 		rt.rejected++
 		return nil, ErrOverloaded
 	}
-	g := rt.cfg.App.Graph
-	for _, src := range g.Sources() {
-		if len(rt.fns[src].queue) >= rt.cfg.QueueCap {
+	for _, src := range rt.cfg.App.Graph.Sources() {
+		if rt.ex.QueueLen(src) >= rt.cfg.QueueCap {
 			rt.rejected++
 			return nil, ErrOverloaded
 		}
@@ -441,94 +236,53 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 	}
 	rt.inflight++
 	invariant(rt.inflight <= rt.cfg.MaxInflight, "admission slots over-committed: inflight %d > max %d", rt.inflight, rt.cfg.MaxInflight)
-	inv, ch := rt.onArrival()
-	if budget > 0 {
-		inv.deadline = inv.arrival + budget
-		rt.schedule(&event{at: inv.deadline, kind: evDeadline, inv: inv})
-	}
+	rt.ex.Advance(rt.clk.Now())
+	// A request cannot resolve inside Arrive (every completion or failure
+	// is a future event), so registering its waiter afterwards is safe.
+	inv := rt.ex.Arrive(budget)
+	w := waiter{res: make(chan Result, 1), settled: make(chan struct{})}
+	rt.waiters[inv.ID()] = w
 	// Watch for caller disconnect only when the context can actually be
 	// cancelled: fake-clock tests pass context.Background() and stay
 	// goroutine-free.
 	if ctx.Done() != nil {
-		go rt.watchAbandon(ctx, inv)
+		go rt.watchAbandon(ctx, inv, w.settled)
 	}
 	rt.wakeLoop()
-	return ch, nil
+	return w.res, nil
 }
 
 // watchAbandon abandons inv when its caller's context is cancelled first.
-func (rt *Runtime) watchAbandon(ctx context.Context, inv *appInv) {
+func (rt *Runtime) watchAbandon(ctx context.Context, inv *simulator.Request, settled <-chan struct{}) {
 	select {
-	case <-inv.settled:
+	case <-settled:
 	case <-ctx.Done():
-		rt.abandon(inv)
-	}
-}
-
-// abandon fails an admitted request whose caller went away, freeing its
-// admission slot and purging its queued members.
-func (rt *Runtime) abandon(inv *appInv) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed || inv.resolved || inv.failed {
-		return
-	}
-	rt.stats.Abandoned++
-	now := rt.now()
-	rt.dropInvocation(inv, Result{
-		ReqID: inv.id, Arrival: inv.arrival, End: now,
-		E2E: now - inv.arrival, Failed: true, Abandoned: true,
-	})
-	rt.wakeLoop()
-}
-
-// onDeadline fails a request whose end-to-end budget elapsed unresolved.
-func (rt *Runtime) onDeadline(inv *appInv) {
-	if inv == nil || inv.resolved || inv.failed {
-		return
-	}
-	rt.stats.DeadlineExceeded++
-	now := rt.now()
-	rt.dropInvocation(inv, Result{
-		ReqID: inv.id, Arrival: inv.arrival, End: now,
-		E2E: now - inv.arrival, Failed: true, DeadlineExceeded: true,
-	})
-}
-
-// onArrival admits one request: record the arrival, fire reactive
-// pre-warms, release the entry function. Callers hold mu. Port of the
-// simulator's onArrival plus the Result channel.
-func (rt *Runtime) onArrival() (*appInv, <-chan Result) {
-	now := rt.now()
-	rt.arrivalsThisWindow++
-	rt.arrivalTimes = append(rt.arrivalTimes, now)
-	g := rt.cfg.App.Graph
-	inv := &appInv{
-		id:        rt.nextInv,
-		arrival:   now,
-		pending:   make(map[dag.NodeID]int, g.Len()),
-		done:      make(map[dag.NodeID]bool, g.Len()),
-		remaining: g.Len(),
-		resCh:     make(chan Result, 1),
-		settled:   make(chan struct{}),
-	}
-	rt.nextInv++
-	if rt.rec != nil {
-		rt.rec.BeginRequest(inv.id, now)
-	}
-	for _, id := range g.Nodes() {
-		inv.pending[id] = len(g.Predecessors(id))
-	}
-	for _, id := range g.Nodes() {
-		fs := rt.fns[id]
-		if fs.directive.PrewarmOnArrival && len(g.Predecessors(id)) > 0 {
-			rt.SchedulePrewarm(id, now+fs.directive.PathOffset)
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		if rt.closed {
+			return
+		}
+		rt.ex.Advance(rt.clk.Now())
+		if rt.ex.Abandon(inv) {
+			rt.wakeLoop()
 		}
 	}
-	for _, src := range g.Sources() {
-		rt.enqueue(&nodeInv{inv: inv, node: src, readyAt: now})
+}
+
+// resolve is the executor's Resolve hook: it delivers a request's terminal
+// Result and settles admission and drain accounting. The channel is
+// buffered, so delivery never blocks the loop. Callers hold mu.
+func (rt *Runtime) resolve(res Result) {
+	w, ok := rt.waiters[res.ReqID]
+	invariant(ok, "request %d resolved without a waiter", res.ReqID)
+	delete(rt.waiters, res.ReqID)
+	rt.inflight--
+	invariant(rt.inflight >= 0, "admission accounting went negative: inflight %d after resolving request %d", rt.inflight, res.ReqID)
+	w.res <- res
+	close(w.settled)
+	if rt.draining && rt.inflight == 0 {
+		close(rt.drainCh)
 	}
-	return inv, inv.resCh
 }
 
 // Drain stops admitting new requests and blocks until every inflight
@@ -560,8 +314,7 @@ func (rt *Runtime) Drain(timeout time.Duration) error {
 }
 
 // Close stops the scheduler loop and terminates every container, settling
-// the cost ledger. Pending requests that have not resolved receive a failed
-// Result. Close is idempotent.
+// the cost ledger and open node down time. Close is idempotent.
 //
 //lint:allow ctxflow shutdown joins the scheduler goroutine, which always terminates once stopCh closes
 func (rt *Runtime) Close() {
@@ -571,25 +324,8 @@ func (rt *Runtime) Close() {
 		return
 	}
 	rt.closed = true
-	// Settle the ledger: terminate in id order so float cost accumulation
-	// is reproducible.
-	ids := make([]int, 0, len(rt.conts))
-	for id := range rt.conts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if c := rt.conts[id]; c != nil && c.state != cDead {
-			rt.terminate(c)
-		}
-	}
-	// Settle detector-declared down time still open at shutdown.
-	now := rt.now()
-	for _, n := range rt.nodes {
-		if n.health == nodeDown && n.detectorDown {
-			rt.stats.NodeDownSeconds += now - n.downSince
-		}
-	}
+	rt.ex.Advance(rt.clk.Now())
+	rt.ex.Shutdown()
 	close(rt.stopCh)
 	started := rt.started
 	rt.mu.Unlock()
@@ -630,20 +366,21 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 func (rt *Runtime) Snapshot() *simulator.RunStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	st := *rt.stats
-	st.CostPerFn = make(map[string]float64, len(rt.stats.CostPerFn))
-	for k, v := range rt.stats.CostPerFn {
+	live := rt.ex.Stats()
+	st := *live
+	st.CostPerFn = make(map[string]float64, len(live.CostPerFn))
+	for k, v := range live.CostPerFn {
 		st.CostPerFn[k] = v
 	}
-	if rt.stats.ViolationByFn != nil {
-		st.ViolationByFn = make(map[string]int, len(rt.stats.ViolationByFn))
-		for k, v := range rt.stats.ViolationByFn {
+	if live.ViolationByFn != nil {
+		st.ViolationByFn = make(map[string]int, len(live.ViolationByFn))
+		for k, v := range live.ViolationByFn {
 			st.ViolationByFn[k] = v
 		}
 	}
-	st.E2E = append([]float64(nil), rt.stats.E2E...)
-	st.E2EArrival = append([]float64(nil), rt.stats.E2EArrival...)
-	st.PodSamples = append([]simulator.PodSample(nil), rt.stats.PodSamples...)
+	st.E2E = append([]float64(nil), live.E2E...)
+	st.E2EArrival = append([]float64(nil), live.E2EArrival...)
+	st.PodSamples = append([]simulator.PodSample(nil), live.PodSamples...)
 	return &st
 }
 
@@ -652,7 +389,7 @@ func (rt *Runtime) Snapshot() *simulator.RunStats {
 func (rt *Runtime) CountsHistoryLocked() []int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return append([]int(nil), rt.counts...)
+	return append([]int(nil), rt.ex.CountsHistory()...)
 }
 
 // ArrivalTimesLocked is the external (locked) counterpart of the
@@ -660,265 +397,37 @@ func (rt *Runtime) CountsHistoryLocked() []int {
 func (rt *Runtime) ArrivalTimesLocked() []float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return append([]float64(nil), rt.arrivalTimes...)
+	return append([]float64(nil), rt.ex.ArrivalTimes()...)
 }
 
 // LiveCost returns the cost accrued by still-live containers.
 func (rt *Runtime) LiveCost() float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.AccruedCost()
+	rt.ex.Advance(rt.clk.Now())
+	return rt.ex.AccruedCost()
 }
 
 // LiveContainers returns the per-function live instance counts, keyed by
 // function name.
 func (rt *Runtime) LiveContainers() map[string]int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[string]int, len(rt.fns))
-	for id, fs := range rt.fns {
-		out[string(id)] = fs.liveCount()
-	}
-	return out
+	return rt.perFunction(rt.ex.LiveInstances)
 }
 
 // QueueLens returns the per-function ready-queue depths, keyed by function
 // name.
 func (rt *Runtime) QueueLens() map[string]int {
+	return rt.perFunction(rt.ex.QueueLen)
+}
+
+// perFunction evaluates f for every function under the lock.
+func (rt *Runtime) perFunction(f func(dag.NodeID) int) map[string]int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make(map[string]int, len(rt.fns))
-	for id, fs := range rt.fns {
-		out[string(id)] = len(fs.queue)
+	ids := rt.cfg.App.Graph.Nodes()
+	out := make(map[string]int, len(ids))
+	for _, id := range ids {
+		out[string(id)] = f(id)
 	}
 	return out
-}
-
-// --- simulator.ControlPlane --------------------------------------------
-// Driver-facing surface; see the Runtime doc for the locking contract.
-
-var _ simulator.ControlPlane = (*Runtime)(nil)
-
-// Now returns the current model time in seconds since the runtime's epoch.
-func (rt *Runtime) Now() float64 { return rt.now() }
-
-// App returns the application under management.
-func (rt *Runtime) App() *apps.Application { return rt.cfg.App }
-
-// SLA returns the run's end-to-end latency bound.
-func (rt *Runtime) SLA() float64 { return rt.cfg.SLA }
-
-// Window returns the decision-window length.
-func (rt *Runtime) Window() float64 { return rt.cfg.Window }
-
-// SetDirective installs the per-function policy and re-dispatches queued
-// work under it.
-func (rt *Runtime) SetDirective(id dag.NodeID, d simulator.Directive) {
-	fs := rt.fn(id)
-	fs.directive = normalize(d)
-	if len(fs.queue) > 0 {
-		rt.pump(fs)
-	}
-}
-
-// GetDirective returns the current directive for one function.
-func (rt *Runtime) GetDirective(id dag.NodeID) simulator.Directive {
-	return rt.fn(id).directive
-}
-
-// CountsHistory returns a read-only view of the completed per-window
-// arrival counts so far, valid only while the caller holds mu (see
-// simulator.ControlPlane for the view contract).
-func (rt *Runtime) CountsHistory() []int {
-	return rt.counts[:len(rt.counts):len(rt.counts)]
-}
-
-// ArrivalTimes returns a read-only view of every arrival timestamp
-// observed so far, valid only while the caller holds mu (see
-// simulator.ControlPlane for the view contract).
-func (rt *Runtime) ArrivalTimes() []float64 {
-	return rt.arrivalTimes[:len(rt.arrivalTimes):len(rt.arrivalTimes)]
-}
-
-// QueueLen returns one function's ready-but-undispatched backlog.
-func (rt *Runtime) QueueLen(id dag.NodeID) int { return len(rt.fn(id).queue) }
-
-// LiveInstances returns the number of live containers for a function.
-func (rt *Runtime) LiveInstances(id dag.NodeID) int { return rt.fn(id).liveCount() }
-
-// EnsureConfigInstance launches one instance of the function's current
-// directive configuration unless one is already live.
-func (rt *Runtime) EnsureConfigInstance(id dag.NodeID) {
-	fs := rt.fn(id)
-	for _, c := range fs.containers {
-		if c.state != cDead && c.cfg == fs.directive.Config {
-			return
-		}
-	}
-	rt.launch(fs, fs.directive.Config, true)
-}
-
-// EnsureInstances launches instances of the directive config until n are
-// live (bounded by the directive's Instances cap).
-func (rt *Runtime) EnsureInstances(id dag.NodeID, n int) {
-	fs := rt.fn(id)
-	if n > fs.directive.Instances {
-		n = fs.directive.Instances
-	}
-	for fs.liveCount() < n {
-		rt.launch(fs, fs.directive.Config, true)
-	}
-}
-
-// HasWarmMatching reports whether an idle or busy instance of the current
-// directive configuration exists.
-func (rt *Runtime) HasWarmMatching(id dag.NodeID) bool {
-	fs := rt.fn(id)
-	for _, c := range fs.containers {
-		if (c.state == cIdle || c.state == cBusy) && c.cfg == fs.directive.Config {
-			return true
-		}
-	}
-	return false
-}
-
-// RetireMismatched terminates idle instances whose configuration no longer
-// matches the directive, keeping at least MinWarm live instances.
-func (rt *Runtime) RetireMismatched(id dag.NodeID) {
-	fs := rt.fn(id)
-	ids := make([]int, 0, len(fs.containers))
-	for cid := range fs.containers {
-		ids = append(ids, cid)
-	}
-	sort.Ints(ids)
-	for _, cid := range ids {
-		c := fs.containers[cid]
-		if c != nil && c.state == cIdle && c.cfg != fs.directive.Config &&
-			fs.liveCount() > fs.directive.MinWarm+1 {
-			rt.terminate(c)
-		}
-	}
-}
-
-// SchedulePrewarm asks for a warm instance of fn at time at; initialization
-// starts at max(now, at − PrewarmLead).
-func (rt *Runtime) SchedulePrewarm(id dag.NodeID, at float64) {
-	fs := rt.fn(id)
-	start := coldstart.PrewarmStart(rt.now(), at, fs.directive.PrewarmLead)
-	rt.schedule(&event{at: start, kind: evPrewarm, fn: id})
-}
-
-// FunctionCost returns the cost attributable to one function so far:
-// terminated containers' billed cost plus live containers' accrual, summed
-// in container-id order for reproducibility.
-func (rt *Runtime) FunctionCost(id dag.NodeID) float64 {
-	fs := rt.fn(id)
-	total := rt.stats.CostPerFn[string(id)]
-	now := rt.now()
-	for _, c := range sortedConts(fs.containers) {
-		if c.state != cDead {
-			_, cost := rt.billedLife(c, now)
-			total += cost
-		}
-	}
-	return total
-}
-
-// AccruedCost returns the cost accrued by still-live containers.
-func (rt *Runtime) AccruedCost() float64 {
-	total := 0.0
-	now := rt.now()
-	for _, c := range sortedConts(rt.conts) {
-		if c.state != cDead {
-			_, cost := rt.billedLife(c, now)
-			total += cost
-		}
-	}
-	return total
-}
-
-// billedLife returns a container's billed lifetime in model seconds and its
-// dollar cost from initialization start to now: static pricing by default,
-// or the spot trace's multiplier-weighted integral when one is configured.
-// FlatTrace(1) integrates to exactly the raw lifetime, so its bills are
-// bit-identical to static pricing.
-func (rt *Runtime) billedLife(c *container, now float64) (life, cost float64) {
-	life = now - c.initStart
-	unit := rt.cfg.Pricing.UnitCost(c.cfg)
-	if pt := rt.cfg.PriceTrace; pt != nil {
-		return life, unit * pt.Integrate(c.initStart, now)
-	}
-	return life, life * unit
-}
-
-// Stats exposes the live run statistics. Drivers may both read and bump
-// counters (e.g. DegradedWindows) from their callbacks; external readers
-// use Snapshot instead.
-func (rt *Runtime) Stats() *simulator.RunStats { return rt.stats }
-
-// TraceRecorder returns the attached span recorder, or nil.
-func (rt *Runtime) TraceRecorder() *tracing.Recorder { return rt.rec }
-
-// FaultsEnabled reports whether fault injection is active.
-func (rt *Runtime) FaultsEnabled() bool { return rt.inj != nil }
-
-// ExecLatencyQuantile returns the p-th percentile (0–100) of the function's
-// recent observed execution durations, or 0 with no samples yet.
-func (rt *Runtime) ExecLatencyQuantile(id dag.NodeID, p float64) float64 {
-	return mathx.Percentile(rt.fn(id).execLat, p)
-}
-
-// FnResilience returns the function's cumulative init failures, execution
-// failures and successful batches.
-func (rt *Runtime) FnResilience(id dag.NodeID) (initFails, execFails, successes int) {
-	fs := rt.fn(id)
-	return fs.initFails, fs.execFails, fs.successes
-}
-
-// fn resolves a function id, panicking on unknown ids exactly like the
-// simulator (a driver addressing a function outside the app graph is a
-// programming error).
-func (rt *Runtime) fn(id dag.NodeID) *fnState {
-	fs, ok := rt.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("serving: unknown function %q", id))
-	}
-	return fs
-}
-
-// sortedConts returns a container map's values ordered by id, so that
-// floating-point accumulation over them is reproducible.
-func sortedConts(m map[int]*container) []*container {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*container, len(ids))
-	for i, id := range ids {
-		out[i] = m[id]
-	}
-	return out
-}
-
-// samplePods records pod-count and arrival series each window.
-func (rt *Runtime) samplePods() {
-	cpuPods, gpuPods := 0, 0
-	for _, c := range rt.conts {
-		if c.state == cDead {
-			continue
-		}
-		if c.cfg.Kind == hardware.CPU {
-			cpuPods++
-		} else {
-			gpuPods++
-		}
-	}
-	last := 0
-	if len(rt.counts) > 0 {
-		last = rt.counts[len(rt.counts)-1]
-	}
-	rt.stats.PodSamples = append(rt.stats.PodSamples, simulator.PodSample{
-		Time: rt.now(), CPU: cpuPods, GPU: gpuPods, Arrivals: last,
-	})
 }

@@ -407,8 +407,8 @@ func TestHistoryViewsCappedAndLockedCopies(t *testing.T) {
 		counts[i] = -1
 	}
 	rt.mu.Lock()
-	gotArr := append([]float64(nil), rt.arrivalTimes...)
-	gotCounts := append([]int(nil), rt.counts[:len(wantCounts)]...)
+	gotArr := append([]float64(nil), rt.ex.ArrivalTimes()...)
+	gotCounts := append([]int(nil), rt.ex.CountsHistory()[:len(wantCounts)]...)
 	rt.mu.Unlock()
 	if !slices.Equal(gotArr, wantArr) || !slices.Equal(gotCounts, wantCounts) {
 		t.Errorf("mutating the …Locked results changed the runtime: arrivals %v (want %v), counts %v (want %v)",

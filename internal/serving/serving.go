@@ -1,63 +1,68 @@
 // Package serving is the online serving runtime: the wall-clock counterpart
-// of the deterministic discrete-event simulator. It executes the same
-// container state machine — cold starts, keep-alive timers, pre-warms,
-// batching, retries, hedging — against real time, driven by real concurrent
-// requests instead of a replayed trace.
+// of the deterministic discrete-event simulator. It runs the simulator's
+// own container state machine — simulator.Executor: cold starts, keep-alive
+// timers, pre-warms, batching, retries, hedging, node failover — against
+// real time, driven by real concurrent requests instead of a replayed
+// trace.
 //
-// The Runtime implements simulator.ControlPlane, so SMIless and every
-// baseline Driver runs unchanged on a live gateway: the controller that
-// plans against the simulator plans against production identically. Time is
-// abstracted behind clock.Scheduler (internal/clock): a Wall clock in
-// production, a ScaledWall for accelerated replays, and a Fake in tests, so
-// the concurrent integration tests cover minutes of model latency in
-// milliseconds without sleeping.
+// Drivers program against the executor (a simulator.ControlPlane), so
+// SMIless and every baseline Driver runs unchanged on a live gateway: the
+// controller that plans against the simulator plans against production
+// identically. Time is abstracted behind clock.Scheduler (internal/clock):
+// a Wall clock in production, a ScaledWall for accelerated replays, and a
+// Fake in tests, so the concurrent integration tests cover minutes of model
+// latency in milliseconds without sleeping.
 //
 // # Architecture
 //
-// The runtime keeps the simulator's event-loop architecture rather than
-// spawning a goroutine per timer: every future transition (init completion,
-// execution completion, idle timeout, batch-linger expiry, decision window,
-// retry, hedge, injected failure) is an event on a deadline-ordered heap,
-// and a single scheduler goroutine sleeps on clock.Scheduler.After until
-// the earliest deadline, then drains everything due under the runtime
-// mutex. Invoke enqueues arrivals inline and wakes the loop. The design
-// gives three properties for free:
+// The Runtime is the executor plus what a live host adds around it: a
+// scheduler goroutine, the runtime mutex, admission control, Result
+// delivery, elastic node placement, the chaos admin surface and the HTTP
+// gateway. Every future transition (init completion, execution completion,
+// idle timeout, batch-linger expiry, decision window, retry, hedge,
+// injected failure) is an event on the executor's deadline-ordered heap;
+// the scheduler goroutine sleeps on clock.Scheduler.After until the
+// earliest deadline, then steps everything due under the mutex. Invoke
+// admits arrivals inline and wakes the loop. The design gives three
+// properties for free:
 //
-//   - the per-request state machine is a line-for-line port of the
-//     simulator's (internal/simulator), so simulated and live behaviour
-//     stay in lockstep;
+//   - the per-request state machine is the simulator's, so simulated and
+//     live behaviour cannot drift apart (TestSimulatorAndServingAgree
+//     replays one trace through both and requires identical outcomes);
 //   - tracing.Recorder and faults.Injector, which are single-threaded by
 //     contract, are only ever touched under the mutex;
 //   - with a Fake clock the loop processes each event exactly at its
 //     deadline, so integration tests can assert latencies to float
 //     precision.
 //
-// One simulator feature is deliberately not ported: per-node capacity and
-// GPU MPS contention (the live runtime assumes an elastic substrate, so
-// CapacityBlocked accounting is simulator-only). Fault injection is
-// supported through the same faults.Plan rates; Outage entries (the
-// simulator's instant-detection node outages) are ignored, but NodeFault
-// entries (crash, partition) are realized against the node layer below.
+// Where the substrates differ, the difference is data the runtime hands
+// the executor, never a branch on which substrate runs. Capacity is host
+// data: the live substrate is elastic, so each node carries unbounded
+// capacity and launches never block (CapacityBlocked stays zero), and GPU
+// MPS contention is off. Fault injection is supported through the same
+// faults.Plan rates; Outage entries (the simulator's instant-detection
+// node outages) are ignored, but NodeFault entries (crash, partition) are
+// realized against the node layer below.
 //
 // # Multi-node control plane
 //
-// With Config.Nodes > 1 the runtime runs N node agents under a thin
-// placement layer (node.go): new containers land on their function's
-// locality home node and overflow to the less loaded of two sampled healthy
-// peers (power of two choices). A deterministic health-gossip failure
-// detector, ticking on the same event loop, walks nodes through
-// up → suspect → down as heartbeats go missing and recovers them when
-// heartbeats resume. When a node is declared down, its in-flight requests
-// fail over to live peers under first-completion-wins idempotency — no
-// request is lost or duplicated, even when a healed partition replays the
-// original completions. Node crashes, restarts and partitions can be
-// scheduled via faults.Plan.NodeFaults, injected live through
+// With Config.Nodes > 1 the runtime spreads the executor's containers over
+// N node agents: new containers land on their function's locality home
+// node and overflow to the less loaded of two sampled healthy peers (power
+// of two choices). The executor's deterministic health-gossip failure
+// detector walks nodes through up → suspect → down as heartbeats go
+// missing and recovers them when heartbeats resume. When a node is
+// declared down, its in-flight requests fail over to live peers under
+// first-completion-wins idempotency — no request is lost or duplicated,
+// even when a healed partition replays the original completions. Node
+// crashes, restarts and partitions can be scheduled via
+// faults.Plan.NodeFaults, injected live through
 // KillNode/RestartNode/SetPartitioned, and observed via NodeInfos.
 //
 // # Batching (§V-D)
 //
-// Beyond the simulator's passive aggregation (requests joining a busy or
-// initializing instance's next batch), the runtime adds an active batch
+// Beyond passive aggregation (requests joining a busy or initializing
+// instance's next batch), the runtime hands the executor an active batch
 // window: when a function's directive asks for Batch > 1 and a warm
 // instance is idle, dispatch is held for up to Config.BatchLinger seconds
 // waiting for the batch to fill. The window closes early the moment the
@@ -257,24 +262,6 @@ var (
 	ErrClosed = errors.New("serving: closed")
 )
 
-// Result is the terminal outcome of one admitted request.
-type Result struct {
-	// ReqID is the runtime-assigned request id (matches tracing spans).
-	ReqID int
-	// Arrival and End are model-time seconds since the runtime's epoch.
-	Arrival float64
-	End     float64
-	// E2E is End − Arrival.
-	E2E float64
-	// Failed reports that the request did not complete: retries exhausted,
-	// deadline exceeded, or abandoned by its caller.
-	Failed bool
-	// DeadlineExceeded reports that the request's per-request deadline
-	// elapsed before it resolved (implies Failed).
-	DeadlineExceeded bool
-	// Abandoned reports that the caller's context was cancelled before the
-	// request resolved (implies Failed).
-	Abandoned bool
-	// SLAViolated reports E2E > SLA for completed requests.
-	SLAViolated bool
-}
+// Result is the terminal outcome of one admitted request: the executor's
+// Outcome, delivered on the channel Invoke returns.
+type Result = simulator.Outcome

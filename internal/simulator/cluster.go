@@ -40,6 +40,7 @@ type nodeState struct {
 	spec      hardware.NodeSpec
 	freeCores int
 	freeGPU   int // in percent (10% MPS slices)
+	conts     int // live containers placed here
 
 	health      nodeHealth
 	alive       bool // process running (false between crash and restart)
@@ -130,15 +131,11 @@ func (c *clusterState) setDown(i int, down bool) {
 	}
 }
 
-// allocate finds a placeable node with capacity for cfg (first fit) and
-// reserves it, returning the node index or false when the cluster is full.
+// allocate finds a placeable node with capacity for cfg (first fit),
+// returning the node index or false when the cluster is full.
 func (c *clusterState) allocate(cfg hardware.Config) (int, bool) {
 	for i, n := range c.nodes {
-		if !n.placeable() {
-			continue
-		}
-		if n.fits(cfg) {
-			n.take(cfg)
+		if n.placeable() && n.fits(cfg) {
 			return i, true
 		}
 	}
@@ -152,7 +149,6 @@ func (c *clusterState) allocate(cfg hardware.Config) (int, bool) {
 // takes it. forwarded reports an off-home placement.
 func (c *clusterState) allocateP2C(cfg hardware.Config, home int, prng *rand.Rand) (node int, forwarded, ok bool) {
 	if h := c.nodes[home]; h.placeable() && h.fits(cfg) {
-		h.take(cfg)
 		return home, false, true
 	}
 	cand := make([]int, 0, len(c.nodes))
@@ -173,15 +169,7 @@ func (c *clusterState) allocateP2C(cfg hardware.Config, home int, prng *rand.Ran
 			best = b
 		}
 	}
-	c.nodes[best].take(cfg)
 	return best, true, true
-}
-
-// takeOn reserves cfg's resources on a specific node. The caller has
-// already verified the node is placeable and fits cfg (the affinity
-// policies score candidates before committing).
-func (c *clusterState) takeOn(i int, cfg hardware.Config) {
-	c.nodes[i].take(cfg)
 }
 
 // release returns cfg's resources to node i.
@@ -199,24 +187,6 @@ func (c *clusterState) release(i int, cfg hardware.Config) {
 			panic(fmt.Sprintf("simulator: GPU over-release on node %d", i))
 		}
 	}
-}
-
-// usedCores returns total cores currently allocated.
-func (c *clusterState) usedCores() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.spec.Cores - n.freeCores
-	}
-	return total
-}
-
-// usedGPU returns total GPU percentage currently allocated.
-func (c *clusterState) usedGPU() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.spec.GPUs*100 - n.freeGPU
-	}
-	return total
 }
 
 // usedGPUOnNode returns the GPU percentage currently allocated on node i.

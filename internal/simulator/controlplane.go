@@ -7,12 +7,13 @@ import (
 )
 
 // ControlPlane is the surface a Driver programs against: the full
-// driver-facing API of the execution substrate. Two implementations exist —
-// *Simulator (virtual time, discrete events, deterministic) and the online
-// serving runtime in internal/serving (wall-clock time, real goroutines) —
-// so SMIless and every baseline drive simulated and live clusters with the
-// same code. Times are float64 seconds since the run's epoch, matching
-// internal/clock.Clock.
+// driver-facing API of the execution substrate. The Executor implements
+// it, and both substrates — the Simulator (virtual time, discrete events,
+// deterministic) and the online serving runtime in internal/serving
+// (wall-clock time, real goroutines) — run one, so SMIless and every
+// baseline drive simulated and live clusters with the same code against
+// the same state machine. Times are float64 seconds since the run's epoch,
+// matching internal/clock.Clock.
 type ControlPlane interface {
 	// Now returns the current time in seconds since the run started.
 	Now() float64
@@ -68,6 +69,3 @@ type ControlPlane interface {
 	ExecLatencyQuantile(id dag.NodeID, p float64) float64
 	FnResilience(id dag.NodeID) (initFails, execFails, successes int)
 }
-
-// *Simulator is the reference ControlPlane implementation.
-var _ ControlPlane = (*Simulator)(nil)

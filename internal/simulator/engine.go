@@ -4,6 +4,11 @@
 // termination), DAG request routing, batching agents, MPS-style fractional
 // GPU allocation, per-second billing, and pre-warm timers.
 //
+// The container state machine itself is the Executor (executor.go), shared
+// with the live serving runtime (internal/serving): the Simulator is that
+// executor plus a virtual-time Run loop, capacity-limited placement and
+// the legacy instant-detection outages.
+//
 // The simulator is policy-agnostic: a Driver (the SMIless controller or one
 // of the baseline systems) installs per-function Directives and may schedule
 // pre-warm events; the simulator realizes them against sampled ground-truth
@@ -16,14 +21,15 @@ package simulator
 import (
 	"container/heap"
 
+	"smiless/internal/dag"
 	"smiless/internal/units"
 )
 
-// eventKind discriminates simulator events.
+// eventKind discriminates executor events.
 type eventKind int
 
 const (
-	evArrival        eventKind = iota // application request arrival
+	evArrival        eventKind = iota // application request arrival (simulator trace replay)
 	evInitDone                        // container finished initializing
 	evExecDone                        // container finished a batch
 	evIdleTimeout                     // keep-alive expired
@@ -34,8 +40,10 @@ const (
 	evExecTimeout                     // gateway per-attempt timeout fired
 	evHedge                           // hedge point for a slow single execution
 	evRetry                           // backed-off retry becomes ready
-	evNodeDown                        // node outage begins (cid = node index)
-	evNodeUp                          // node outage ends (cid = node index)
+	evLinger                          // batch aggregation window expired
+	evDeadline                        // per-request deadline elapsed
+	evNodeDown                        // legacy outage begins (cid = node index)
+	evNodeUp                          // legacy outage ends (cid = node index)
 	evNodeCrash                       // node process dies silently (cid = node index)
 	evNodeRestart                     // crashed node rejoins empty (cid = node index)
 	evPartitionStart                  // node becomes unreachable (cid = node index)
@@ -64,14 +72,21 @@ type event struct {
 	at   units.Duration
 	seq  int // tie-breaker for determinism
 	kind eventKind
-	// container events (node index for evNodeDown/evNodeUp)
+	// container events (node index for node events)
 	cid int
-	// idle-timer epoch or batch sequence (stale events are ignored)
+	// idle-timer epoch, batch sequence or linger epoch (stale events are
+	// ignored)
 	epoch int
-	// prewarm target function
-	fn string
+	// pre-warm or linger target function
+	fn dag.NodeID
 	// retried invocation (evRetry)
 	ni *nodeInv
+	// request whose deadline elapsed (evDeadline)
+	inv *Request
+	// rearm makes a decision window schedule its successor one Window
+	// later (a live host's open-ended cadence; the simulator schedules
+	// its finite set of windows up front).
+	rearm bool
 }
 
 type eventHeap []*event

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"smiless/internal/apps"
+	"smiless/internal/coldstart"
+	"smiless/internal/dag"
 	"smiless/internal/faults"
 	"smiless/internal/hardware"
 	"smiless/internal/trace"
@@ -180,5 +182,67 @@ func TestNodeFaultRunDeterministic(t *testing.T) {
 	if a.NodeDownEvents == 0 || a.Failovers == 0 {
 		t.Errorf("plan exercised nothing: downEvents=%d failovers=%d",
 			a.NodeDownEvents, a.Failovers)
+	}
+}
+
+func TestPartitionFailoverLaunchesPastInstanceCap(t *testing.T) {
+	// A partition strands the only instance the cap allows. Once the
+	// detector holds the node down, the stranded instance no longer
+	// occupies the cap: the failed-over twin launches a replacement on the
+	// live peer and completes long before the partition heals at t=200.
+	drv := &staticDriver{directive: func(dag.NodeID) Directive {
+		return Directive{
+			Config: cpu(4), Policy: coldstart.KeepAlive, KeepAlive: 60,
+			Batch: 1, Instances: 1,
+			Retry: faults.RetryPolicy{MaxAttempts: 5, BaseBackoff: 0.5},
+		}
+	}}
+	sim := MustNew(Config{
+		App: apps.Pipeline(2), SLA: 600, Seed: 5, Cluster: smallCluster(2, 16),
+		Faults: &faults.Plan{NodeFaults: []faults.NodeFault{
+			{Node: 0, Kind: faults.NodePartition, Start: 11, End: 200},
+		}},
+	}, drv)
+	sim.inj = &scriptInjector{straggler: []float64{60}}
+	st := sim.MustRun(&trace.Trace{Horizon: 300, Arrivals: []float64{10}})
+	if st.Completed != 1 || st.FailedInvocations != 0 {
+		t.Fatalf("completed=%d failed=%d, want 1/0", st.Completed, st.FailedInvocations)
+	}
+	if e2e := st.E2E[0]; e2e >= 200-10 {
+		t.Errorf("E2E = %.2f s: the twin waited for the heal instead of launching on the live peer", e2e)
+	}
+	if st.Failovers == 0 {
+		t.Error("expected the stranded member twinned onto the live peer")
+	}
+}
+
+func TestPreemptionEndKeepsDetectorVerdict(t *testing.T) {
+	// Node 0 crashes at 15 and stays dead until 60; a preemption window
+	// [20, 30) lands while the detector already holds it down. The
+	// window's end must not lift the detector's verdict: the node stays
+	// down — and unplaceable — until its heartbeats resume after the
+	// restart, as one continuous down period.
+	arr := []float64{10}
+	for at := 31.0; at <= 58; at += 1.3 {
+		arr = append(arr, at)
+	}
+	sim := MustNew(Config{
+		App: apps.Pipeline(2), SLA: 600, Seed: 5, Cluster: smallCluster(3, 16),
+		Faults: &faults.Plan{NodeFaults: []faults.NodeFault{
+			{Node: 0, Kind: faults.NodeCrash, Start: 15, End: 60},
+		}},
+		PriceTrace: &hardware.PriceTrace{
+			Preemptions: []hardware.PreemptionWindow{{Node: 0, Start: 20, End: 30}},
+		},
+	}, retryDriver(faults.RetryPolicy{MaxAttempts: 5, BaseBackoff: 0.5}, 0))
+	st := sim.MustRun(&trace.Trace{Horizon: 120, Arrivals: arr})
+	if st.Completed != len(arr) || st.FailedInvocations != 0 {
+		t.Fatalf("completed=%d failed=%d, want %d/0", st.Completed, st.FailedInvocations, len(arr))
+	}
+	if st.NodeDownEvents != 1 {
+		t.Errorf("NodeDownEvents = %d, want 1: the preemption's end re-admitted a crashed node", st.NodeDownEvents)
+	}
+	if want := 60 - 15.75; st.NodeDownSeconds != want { //lint:allow floateq gossip ticks land on exact quarter seconds
+		t.Errorf("NodeDownSeconds = %v, want %v (detected at 15.75, recovered at the restart)", st.NodeDownSeconds, want)
 	}
 }

@@ -45,20 +45,6 @@ func TestEvaluateErrorPaths(t *testing.T) {
 	}
 }
 
-func TestEvaluateMatchesLegacyShim(t *testing.T) {
-	app := smiless.ImageQuery()
-	tr := optionsTrace(2)
-	st, err := smiless.Evaluate(smiless.SystemSMIless, app, tr, 2.0, smiless.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := smiless.EvaluateLegacy(smiless.SystemSMIless, smiless.ImageQuery(), tr, 2.0, 5, false)
-	if st.Completed != legacy.Completed || st.TotalCost != legacy.TotalCost {
-		t.Errorf("options and legacy runs diverged: (%d, %v) vs (%d, %v)",
-			st.Completed, st.TotalCost, legacy.Completed, legacy.TotalCost)
-	}
-}
-
 func TestWithParallelismIsInvisible(t *testing.T) {
 	app := smiless.VoiceAssistant()
 	tr := optionsTrace(3)
@@ -171,13 +157,13 @@ func TestNewSimulatorOptions(t *testing.T) {
 	}
 }
 
-func TestLegacySimulatorAndControllerShims(t *testing.T) {
+func TestSimulatorWithControllerOptions(t *testing.T) {
 	app := smiless.Pipeline(2)
 	profiles := app.TrueProfiles(3)
 	opts := smiless.DefaultControllerOptions(1)
 	opts.UseLSTM = false
-	drv := smiless.NewSMIlessLegacy(smiless.DefaultCatalog(), profiles, 3.0, opts)
-	sim, err := smiless.NewSimulatorLegacy(app, drv, 3.0, 1)
+	drv := smiless.NewSMIless(smiless.DefaultCatalog(), profiles, 3.0, smiless.WithControllerOptions(opts))
+	sim, err := smiless.NewSimulator(app, drv, 3.0, smiless.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
